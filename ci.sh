@@ -63,6 +63,7 @@ go test -run 'TestSnapshotCrashAndReload|TestDeltaMatchesScratchBuild' -count=1 
 
 echo "== fuzz smoke (10s per target) =="
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/newick
+go test -run='^$' -fuzz=FuzzExtractNewick -fuzztime=10s ./internal/bipart
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/nexus
 go test -run='^$' -fuzz=FuzzTable -fuzztime=10s ./internal/bfhtable
 go test -run='^$' -fuzz=FuzzSuccinct -fuzztime=10s ./internal/bfhtable

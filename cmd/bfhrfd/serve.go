@@ -63,6 +63,12 @@ func runServeStandalone(adminAddr string, cfg serveConfig) int {
 		}
 	}
 	svc := cfg.service(cat)
+	// Catch signals before the listener can announce readiness: a
+	// SIGTERM sent right after the first answered query must drain, not
+	// hit the default handler. The buffer holds it until the reader runs.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	adm, err := startAdmin(adminAddr, svc.WrapHealthz(standaloneHealthz(cat)), svc.Register)
 	if err != nil {
 		return fail(err)
@@ -74,9 +80,6 @@ func runServeStandalone(adminAddr string, cfg serveConfig) int {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	soft := make(chan struct{})
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	go func() {
 		s := <-sig
 		fmt.Fprintf(os.Stderr, "bfhrfd: %s: draining — finishing in-flight queries (signal again to abort)\n", s)

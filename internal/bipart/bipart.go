@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitset"
+	"repro/internal/newick"
 	"repro/internal/taxa"
 	"repro/internal/tree"
 )
@@ -210,6 +211,10 @@ type Extractor struct {
 	emitted []*bitset.Bits
 	// outBuf is the reused result slice under ReuseMasks.
 	outBuf []Bipartition
+	// st, edges and open are ExtractNewick's parser and per-call scratch.
+	st    newick.Statement
+	edges []edge
+	open  []openNode
 }
 
 // getMask returns a zeroed width-n mask from the pool.
@@ -241,35 +246,25 @@ func (e *Extractor) Extract(t *tree.Tree) ([]Bipartition, error) {
 	if t == nil || t.Root == nil {
 		return nil, fmt.Errorf("bipart: nil tree")
 	}
-	if e.ReuseMasks {
-		// The previous call's emitted masks are dead now; recycle them.
-		e.pool = append(e.pool, e.emitted...)
-		e.emitted = e.emitted[:0]
-	}
+	e.recycle()
 
 	// First pass: map leaves to catalogue indices and find the anchor
 	// (lowest-indexed taxon present).
 	present := 0
 	anchor := -1
 	var leafErr error
-	if cap(e.seen) < n {
-		e.seen = make([]bool, n)
-	}
-	seen := e.seen[:n]
-	for i := range seen {
-		seen[i] = false
-	}
+	seen := e.seenScratch(n)
 	t.Postorder(func(nd *tree.Node) {
 		if leafErr != nil || !nd.IsLeaf() {
 			return
 		}
 		idx, ok := e.Taxa.Index(nd.Name)
 		if !ok {
-			leafErr = fmt.Errorf("bipart: leaf %q not in taxon catalogue", nd.Name)
+			leafErr = unknownLeaf(nd.Name)
 			return
 		}
 		if seen[idx] {
-			leafErr = fmt.Errorf("bipart: duplicate leaf %q", nd.Name)
+			leafErr = duplicateLeaf(nd.Name)
 			return
 		}
 		seen[idx] = true
@@ -281,11 +276,8 @@ func (e *Extractor) Extract(t *tree.Tree) ([]Bipartition, error) {
 	if leafErr != nil {
 		return nil, leafErr
 	}
-	if present < 2 {
-		return nil, fmt.Errorf("bipart: tree has %d taxa; need at least 2", present)
-	}
-	if e.RequireComplete && present != n {
-		return nil, fmt.Errorf("bipart: tree covers %d of %d catalogue taxa; complete coverage required", present, n)
+	if err := e.checkCoverage(present, n); err != nil {
+		return nil, err
 	}
 
 	// Second pass: iterative postorder with pooled masks. Each stack frame
@@ -330,20 +322,7 @@ func (e *Extractor) Extract(t *tree.Tree) ([]Bipartition, error) {
 			} else {
 				c = m.Clone()
 			}
-			if c.Test(anchor) {
-				c.ComplementInPlace()
-			}
-			b := Bipartition{mask: c, hash: maskHash(c.Words())}
-			b.Length, b.HasLength = nd.Length, nd.HasLength
-			if (e.IncludeTrivial || !b.IsTrivial(present)) &&
-				(e.Filter == nil || e.Filter(b)) {
-				out = append(out, b)
-				if e.ReuseMasks {
-					e.emitted = append(e.emitted, c)
-				}
-			} else if e.ReuseMasks {
-				e.putMask(c)
-			}
+			out = e.emit(out, c, anchor, present, nd.Length, nd.HasLength)
 		}
 		stack = stack[:len(stack)-1]
 		if len(stack) > 0 {
@@ -351,7 +330,69 @@ func (e *Extractor) Extract(t *tree.Tree) ([]Bipartition, error) {
 		}
 		e.putMask(m)
 	}
+	if e.ReuseMasks {
+		e.outBuf = out
+	}
 	return out, nil
+}
+
+// recycle returns the previous ReuseMasks call's emitted masks, dead now,
+// to the pool.
+func (e *Extractor) recycle() {
+	if e.ReuseMasks {
+		e.pool = append(e.pool, e.emitted...)
+		e.emitted = e.emitted[:0]
+	}
+}
+
+// seenScratch returns the cleared per-call duplicate-leaf scratch.
+func (e *Extractor) seenScratch(n int) []bool {
+	if cap(e.seen) < n {
+		e.seen = make([]bool, n)
+	}
+	seen := e.seen[:n]
+	clear(seen)
+	return seen
+}
+
+func unknownLeaf(name string) error {
+	return fmt.Errorf("bipart: leaf %q not in taxon catalogue", name)
+}
+
+func duplicateLeaf(name string) error {
+	return fmt.Errorf("bipart: duplicate leaf %q", name)
+}
+
+// checkCoverage applies the taxa-present rules once the leaves are known.
+func (e *Extractor) checkCoverage(present, n int) error {
+	if present < 2 {
+		return fmt.Errorf("bipart: tree has %d taxa; need at least 2", present)
+	}
+	if e.RequireComplete && present != n {
+		return fmt.Errorf("bipart: tree covers %d of %d catalogue taxa; complete coverage required", present, n)
+	}
+	return nil
+}
+
+// emit canonicalizes the leaf-set mask m of one edge (m is consumed) and
+// appends its bipartition to out unless the trivial rule or Filter drops
+// it. Under ReuseMasks a kept mask is tracked for recycling on the next
+// call and a dropped one goes straight back to the pool.
+func (e *Extractor) emit(out []Bipartition, m *bitset.Bits, anchor, present int, length float64, hasLength bool) []Bipartition {
+	if m.Test(anchor) {
+		m.ComplementInPlace()
+	}
+	b := Bipartition{mask: m, hash: maskHash(m.Words()), Length: length, HasLength: hasLength}
+	if (e.IncludeTrivial || !b.IsTrivial(present)) && (e.Filter == nil || e.Filter(b)) {
+		if e.ReuseMasks {
+			e.emitted = append(e.emitted, m)
+		}
+		return append(out, b)
+	}
+	if e.ReuseMasks {
+		e.putMask(m)
+	}
+	return out
 }
 
 // MustExtract is Extract but panics on error. For tests.

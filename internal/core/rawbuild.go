@@ -7,37 +7,24 @@ import (
 
 	"repro/internal/bipart"
 	"repro/internal/collection"
-	"repro/internal/newick"
 	"repro/internal/taxa"
 )
 
 // This file implements the parallel-parse fast path: when the reference or
 // query source can hand out raw Newick statements (collection.RawSource),
-// workers parse *and* extract, so tree construction — the dominant cost of
-// file-backed runs — scales with the worker count. This is the full
-// "parallelized the reading of trees, generating bipartitions, and then
-// computing RF comparisons at the tree level" decomposition the paper
-// describes for DSMP and BFHRF (§V).
+// workers take each statement straight to its splits
+// (bipart.Extractor.ExtractNewick) without building a tree, so ingest —
+// the dominant cost of file-backed runs — scales with the worker count.
+// This is the full "parallelized the reading of trees, generating
+// bipartitions, and then computing RF comparisons at the tree level"
+// decomposition the paper describes for DSMP and BFHRF (§V).
 
-// rawCapable reports whether src supports the raw path right now
-// (RawSource implemented and the format splittable).
+// rawCapable resets src and reports whether this pass can use the raw path
+// (RawSource implemented and the format splittable). It reads nothing; a
+// failed Reset leaves the error to the parsed path's own Reset.
 func rawCapable(src collection.Source) (collection.RawSource, bool) {
 	rs, ok := src.(collection.RawSource)
-	if !ok {
-		return nil, false
-	}
-	if err := rs.Reset(); err != nil {
-		return nil, false
-	}
-	stmt, err := rs.NextRaw()
-	if err == collection.ErrRawUnsupported {
-		return nil, false
-	}
-	if err != nil && err != io.EOF {
-		return nil, false
-	}
-	_ = stmt
-	if err := rs.Reset(); err != nil {
+	if !ok || rs.Reset() != nil || !rs.RawActive() {
 		return nil, false
 	}
 	return rs, true
@@ -64,14 +51,7 @@ func buildRaw(rs collection.RawSource, ts *taxa.Set, opts BuildOptions, h *FreqH
 			}
 			acc := newBuildAccum(h, wordsPerKey(ts), shards)
 			for stmt := range jobs {
-				t, err := newick.Parse(stmt)
-				if err != nil {
-					if errs[w] == nil {
-						errs[w] = err
-					}
-					continue
-				}
-				bs, err := ex.Extract(t)
+				bs, err := ex.ExtractNewick(stmt)
 				if err != nil {
 					if errs[w] == nil {
 						errs[w] = err
@@ -136,14 +116,11 @@ func (h *FreqHash) averageRFRaw(rs collection.RawSource, opts QueryOptions) ([]R
 			}
 			p := h.proberFor(opts)
 			for j := range jobs {
-				t, err := newick.Parse(j.stmt)
-				if err != nil {
-					if errs[w] == nil {
-						errs[w] = fmt.Errorf("core: query tree %d: %w", j.idx, err)
-					}
-					continue
+				bs, err := ex.ExtractNewick(j.stmt)
+				var avg float64
+				if err == nil {
+					avg, err = p.AverageRFOfSplits(bs, opts.Variant)
 				}
-				avg, err := h.queryOne(t, ex, p, opts.Variant)
 				if err != nil {
 					if errs[w] == nil {
 						errs[w] = fmt.Errorf("core: query tree %d: %w", j.idx, err)

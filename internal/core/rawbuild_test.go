@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/collection"
+	"repro/internal/faultinject"
 	"repro/internal/newick"
 	"repro/internal/tree"
 )
@@ -106,5 +110,61 @@ func TestRawPathQueryErrorsPropagate(t *testing.T) {
 	defer src.Close()
 	if _, err := h.AverageRF(src, QueryOptions{RequireComplete: true}); err == nil {
 		t.Error("wrong-taxa query in the raw path should fail")
+	}
+}
+
+// TestRawPathFaultPointParity: on the raw path, a parse.tree fault plan
+// fires once per statement, as newick.Parse did per tree, so
+// "parse.tree:error@N" fails a Build or an AverageRF on the N-th tree —
+// the contract the crash-at-tree worker tests depend on.
+func TestRawPathFaultPointParity(t *testing.T) {
+	defer faultinject.Disarm()
+	trees, ts := randomCollection(11, 10, 6)
+	src := writeCollection(t, trees)
+	h := buildHash(t, trees, ts)
+	bo := BuildOptions{RequireComplete: true, Workers: 1}
+	qo := QueryOptions{RequireComplete: true, Workers: 1}
+
+	// A plan that never fires counts one hit per tree.
+	faultinject.Arm(faultinject.Plan{Point: faultinject.PointParseTree, Kind: faultinject.KindError, Hit: 1000})
+	if _, err := Build(src, ts, bo); err != nil {
+		t.Fatal(err)
+	}
+	if n := faultinject.HitCount(faultinject.PointParseTree); n != int64(len(trees)) {
+		t.Fatalf("Build parse.tree hits = %d, want %d", n, len(trees))
+	}
+	faultinject.Arm(faultinject.Plan{Point: faultinject.PointParseTree, Kind: faultinject.KindError, Hit: 1000})
+	if _, err := h.AverageRF(src, qo); err != nil {
+		t.Fatal(err)
+	}
+	if n := faultinject.HitCount(faultinject.PointParseTree); n != int64(len(trees)) {
+		t.Fatalf("AverageRF parse.tree hits = %d, want %d", n, len(trees))
+	}
+
+	for _, n := range []int{1, 4, len(trees)} {
+		spec := fmt.Sprintf("parse.tree:error@%d", n)
+		if err := faultinject.ArmSpec(spec); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Build(src, ts, bo)
+		var pe *newick.ParseError
+		if !errors.As(err, &pe) || !strings.Contains(err.Error(), "injected") {
+			t.Errorf("%s: Build error = %v, want an injected *newick.ParseError", spec, err)
+		}
+		if err := faultinject.ArmSpec(spec); err != nil {
+			t.Fatal(err)
+		}
+		_, err = h.AverageRF(src, qo)
+		want := fmt.Sprintf("core: query tree %d: ", n-1)
+		if !errors.As(err, &pe) || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: AverageRF error = %v, want a *newick.ParseError prefixed %q", spec, err, want)
+		}
+	}
+	// One past the last tree never fires.
+	if err := faultinject.ArmSpec(fmt.Sprintf("parse.tree:error@%d", len(trees)+1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(src, ts, bo); err != nil {
+		t.Errorf("plan past the last tree failed the build: %v", err)
 	}
 }

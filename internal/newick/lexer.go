@@ -272,7 +272,7 @@ func (l *lexer) lexBare() (token, error) {
 		if err != nil {
 			return token{}, err
 		}
-		if isStructural(b) {
+		if structural[b] {
 			l.unreadByte()
 			break
 		}
@@ -289,10 +289,11 @@ func (l *lexer) lexBare() (token, error) {
 	return token{kind: tokLabel, text: text, pos: start}, nil
 }
 
-func isStructural(b byte) bool {
-	switch b {
-	case '(', ')', ',', ':', ';', '[', ']', '\'', ' ', '\t', '\n', '\r':
-		return true
+// structural marks the bytes that end a bare label: punctuation, quote
+// and comment delimiters, and whitespace.
+var structural = func() (t [256]bool) {
+	for _, b := range []byte("(),:;[]' \t\n\r") {
+		t[b] = true
 	}
-	return false
-}
+	return t
+}()
